@@ -27,19 +27,14 @@ contract (see README "Failure semantics"):
 5. **Fault evidence** — exactly one spill quarantined; retries
    actually happened; with fork available, at least one execution
    group was recovered after the worker kill.
-6. **No leaked shared memory** — after all passes (including the
-   worker kill mid-transfer and the overload burst), no
-   ``supg-plane-*`` or ``supg-zonemap-*`` segment survives in
-   ``/dev/shm``: every data-plane and zone-map-index segment was
-   unlinked by its owner or reclaimed by the parent's crash sweep.
-7. **Overload contract** — a 2×-capacity concurrent submit burst
+6. **Overload contract** — a 2×-capacity concurrent submit burst
    against a hard oracle outage (:func:`run_overload_pass`) resolves
    every ticket to a bit-identical success or a *typed* error
    (``AdmissionRejected`` / ``QueryShedError`` / ``QueryError``), trips
    the circuit breaker, fast-fails while open, and recovers through a
    half-open probe once the outage lifts — no hangs, no untyped
    failures.
-8. **Backend corruption recovery** — a disk statistics backend whose
+7. **Backend corruption recovery** — a disk statistics backend whose
    ``stat-*.npy`` file is corrupted on disk
    (:func:`run_backend_corruption_pass`) quarantines the damaged file
    with a reason report, rebuilds the statistic from the source
@@ -59,7 +54,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -70,9 +64,8 @@ import numpy as np
 import threading
 
 from repro.core.planning import fork_available
-from repro.core.shm import SEGMENT_PREFIX
 from repro.core.stats_backend import statistic_entries
-from repro.core.zonemap import MIN_INDEXED_SIZE, ZONEMAP_SEGMENT_PREFIX
+from repro.core.zonemap import MIN_INDEXED_SIZE
 from repro.datasets import load_dataset
 from repro.faults import FaultPlan, corrupt_spill, corrupt_statistic, inject
 from repro.oracle import OracleCircuitBreaker, RetryPolicy
@@ -492,8 +485,7 @@ def main(argv=None) -> int:
     if plan.kill_execution is not None and chaos_stats.get("recovered_groups", 0) == 0:
         failures.append("worker kill requested but no execution group was recovered")
 
-    # Gate 7 (run before the leak sweep so its segments are covered):
-    # the overload contract — a 2×-capacity concurrent burst against a
+    # Gate 6: the overload contract — a 2×-capacity concurrent burst against a
     # dead oracle resolves every ticket to a bit-identical success or a
     # typed error, trips and recovers the circuit breaker, and leaves
     # nothing hung.
@@ -503,7 +495,7 @@ def main(argv=None) -> int:
         )
     failures.extend(overload_failures)
 
-    # Gate 8: disk-backend statistic corruption must quarantine,
+    # Gate 7: disk-backend statistic corruption must quarantine,
     # rebuild, and recover bit-identically.  The dataset is floored at
     # zone-map scale so the replay exercises the *paged* scan path, not
     # the small-table dense fallback.
@@ -512,18 +504,6 @@ def main(argv=None) -> int:
             backend_dir, args.jobs, max(args.size, 2 * MIN_INDEXED_SIZE)
         )
     failures.extend(backend_failures)
-
-    # Gate 6: no leaked shared-memory segments.  Both passes (and the
-    # killed worker's orphaned result transfer) must leave /dev/shm
-    # clean once their services close — including the zone-map index
-    # segments, which publish under their own prefix.
-    leaked: list[str] = []
-    if os.path.isdir("/dev/shm"):
-        for prefix in (SEGMENT_PREFIX, ZONEMAP_SEGMENT_PREFIX):
-            leaked.extend(p.name for p in Path("/dev/shm").glob(f"{prefix}-*"))
-        leaked.sort()
-        if leaked:
-            failures.append(f"leaked shared-memory segments: {', '.join(leaked)}")
 
     summary = {
         "queries": args.queries,
@@ -538,7 +518,6 @@ def main(argv=None) -> int:
         "recovered_groups": chaos_stats.get("recovered_groups", 0),
         "typed_failures": errored,
         "hung": chaos_stats["hung"],
-        "leaked_segments": leaked,
         "overload": overload_summary,
         "backend_corruption": backend_summary,
         "gates_failed": failures,

@@ -35,6 +35,10 @@ of racing to re-draw the same key), and yields independent
 :meth:`~QueryPlan.batches` to fan across workers.
 :meth:`repro.query.engine.SupgEngine.execute_many` and the experiment
 runner's parallel warm-up are both built on it.
+
+The batches then run on :func:`fork_map`, the one fork fan-out in the
+repo (engine batches, service windows, trial chunks, sweep cells), with
+its worker count from :func:`effective_workers`.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ import multiprocessing
 import os
 import warnings
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +74,7 @@ __all__ = [
     "plan_executions",
     "resolve_n_jobs",
     "effective_workers",
+    "fork_map",
     "worker_share",
     "fork_available",
     "require_fork_or_warn",
@@ -112,6 +119,68 @@ def effective_workers(n_jobs: int | None, tasks: int, what: str) -> int:
     if workers > 1 and not require_fork_or_warn(what):
         workers = 1
     return workers
+
+
+def fork_map(
+    tasks: Sequence,
+    fn: Callable,
+    initializer: Callable,
+    initargs: tuple,
+    recover: Callable,
+    what: str,
+    workers: int | None = None,
+) -> tuple[list, list[int]]:
+    """Run ``fn(task)`` for every task on a fork pool, results in task order.
+
+    The one fan-out behind every parallel path in the repo (engine
+    batches, service windows, trial chunks, sweep cells).  Workers get
+    their state from ``initializer(*initargs)``; under the ``fork``
+    start method initargs are inherited rather than pickled, so
+    closures and large datasets reach the workers without
+    serialization.  Only tasks and results cross the pipe.
+
+    Built on :class:`~concurrent.futures.ProcessPoolExecutor` rather
+    than ``multiprocessing.Pool`` because a worker that dies (OOM kill,
+    segfault, chaos injection) must *surface*: the executor fails the
+    affected futures with ``BrokenProcessPool`` where a plain pool
+    blocks forever.  Every task lost that way is re-run in the parent
+    via ``recover(task)`` — tasks are seeded, so the recovered result
+    is bit-identical to what the worker would have returned — and one
+    :class:`RuntimeWarning` names ``what``.  Any other exception a task
+    raises propagates to the caller.
+
+    Args:
+        workers: pool size (default and ceiling: one per task).
+
+    Returns:
+        ``(results, recovered)`` — one result per task, in task order,
+        and the indices of the tasks re-run in the parent.
+    """
+    tasks = list(tasks)
+    results: list = [None] * len(tasks)
+    recovered: list[int] = []
+    with ProcessPoolExecutor(
+        max_workers=min(workers or len(tasks), len(tasks)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+        initargs=initargs,
+    ) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        for index, future in enumerate(futures):
+            try:
+                results[index] = future.result()
+            except BrokenProcessPool:
+                recovered.append(index)
+    for index in recovered:
+        results[index] = recover(tasks[index])
+    if recovered:
+        warnings.warn(
+            f"{what} recovered {len(recovered)} of {len(tasks)} task(s) in the "
+            "parent after a worker process died; results are unaffected",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return results, recovered
 
 
 def worker_share(n_jobs: int | None, consumers: int) -> int:

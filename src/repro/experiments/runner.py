@@ -22,10 +22,12 @@ fan-out shapes are available:
 Seed assignment is identical to the sequential path and workers return
 :class:`TrialRecord` objects in trial order, so parallel results are
 bit-for-bit identical to ``n_jobs=1`` — the determinism tests pin
-this.  Pools use the ``fork`` start method (selector factories are
-closures, which ``spawn`` cannot pickle; forked workers inherit them);
-on platforms without ``fork`` the runner transparently falls back to
-the sequential path.
+this.  Both shapes run on :func:`~repro.core.planning.fork_map`: pools
+use the ``fork`` start method (selector factories are closures, which
+``spawn`` cannot pickle; forked workers inherit them), and work lost to
+a dead worker is re-run in the parent, bit-identically.  On platforms
+without ``fork`` the runner transparently falls back to the sequential
+path.
 
 Sample reuse
 ------------
@@ -55,16 +57,11 @@ re-label the same keys.
 
 from __future__ import annotations
 
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Mapping, Sequence
 
 from ..core.base import Selector
 from ..core.pipeline import ExecutionContext, SampleStore
-from ..core.planning import effective_workers, plan_executions, resolve_n_jobs
-from ..core.shm import SharedArrayPlane
+from ..core.planning import effective_workers, fork_map, plan_executions, resolve_n_jobs
 from ..core.types import ApproxQuery
 from ..datasets import Dataset
 from ..faults import maybe_kill_worker
@@ -228,50 +225,6 @@ def _chunk_trials(trials: int, jobs: int) -> list[list[int]]:
     ]
 
 
-def _map_chunks_with_recovery(
-    chunks: Sequence[Sequence[int]],
-    worker_fn: Callable,
-    initializer: Callable,
-    initargs: tuple,
-    recover_fn: Callable,
-    what: str,
-) -> list:
-    """Fan chunks across a fork pool, surviving worker death.
-
-    ``ProcessPoolExecutor`` (rather than ``multiprocessing.Pool``, which
-    hangs forever when a worker is killed) reports a dead worker as
-    :class:`BrokenProcessPool` on the affected futures; chunks whose
-    future completed keep their results, and the broken ones are re-run
-    in the parent via ``recover_fn`` — every trial is seeded, so the
-    re-run is bit-identical to what the dead worker would have produced.
-    """
-    ctx = multiprocessing.get_context("fork")
-    results: list = [None] * len(chunks)
-    broken: list[int] = []
-    with ProcessPoolExecutor(
-        max_workers=len(chunks),
-        mp_context=ctx,
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
-        futures = [(i, pool.submit(worker_fn, chunk)) for i, chunk in enumerate(chunks)]
-        for i, future in futures:
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool:
-                broken.append(i)
-    for i in broken:
-        results[i] = recover_fn(chunks[i])
-    if broken:
-        warnings.warn(
-            f"{what} recovered {len(broken)} trial chunk(s) in the parent after "
-            "a worker process died; results are unaffected",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return results
-
-
 def _run_trials_parallel(
     factory: SelectorFactory,
     dataset: Dataset,
@@ -281,9 +234,8 @@ def _run_trials_parallel(
     jobs: int,
 ) -> list[TrialRecord]:
     """Fan seed-chunks across a fork pool; record order matches sequential."""
-    chunks = _chunk_trials(trials, jobs)
-    chunk_records = _map_chunks_with_recovery(
-        chunks,
+    chunk_records, _ = fork_map(
+        _chunk_trials(trials, jobs),
         _run_trial_chunk,
         _init_trial_worker,
         (factory, dataset, base_seed, method_name),
@@ -416,30 +368,23 @@ def _run_panel(
     if jobs > 1:
         if store_dir is not None and share_samples:
             _prewarm_store_dir(slots, dataset, trials, base_seed, store_dir)
-        # Publish the dataset's statistics (computed by the prewarm
-        # above, or right here) into a shared-array plane before the
-        # workers fork, so every chunk reads the same shared pages
-        # instead of dirtying copy-on-write ones.
-        plane = SharedArrayPlane(directory=store_dir)
-        dataset.publish(plane)
-        try:
-            chunks = _chunk_trials(trials, jobs)
-            chunk_results = _map_chunks_with_recovery(
-                chunks,
-                _run_panel_chunk,
-                _init_panel_worker,
-                (tuple(slots), dataset, base_seed, share_samples, store_dir),
-                lambda chunk: _panel_chunk_records(
-                    slots,
-                    dataset,
-                    chunk,
-                    base_seed,
-                    _make_context(store_dir) if share_samples else None,
-                ),
-                what,
-            )
-        finally:
-            plane.close()
+        # Build the scan statistics once in the parent: every chunk's
+        # worker inherits them instead of rebuilding its own copy.
+        dataset.build_statistics()
+        chunk_results, _ = fork_map(
+            _chunk_trials(trials, jobs),
+            _run_panel_chunk,
+            _init_panel_worker,
+            (tuple(slots), dataset, base_seed, share_samples, store_dir),
+            lambda chunk: _panel_chunk_records(
+                slots,
+                dataset,
+                chunk,
+                base_seed,
+                _make_context(store_dir) if share_samples else None,
+            ),
+            what,
+        )
         return [
             [record for chunk in chunk_results for record in chunk[slot]]
             for slot in range(len(slots))
@@ -609,6 +554,7 @@ def _init_cell_worker(cells: Sequence[Mapping[str, object]]) -> None:
 
 
 def _run_cell(index: int):
+    maybe_kill_worker([index])  # chaos seam; no-op unless a fault plan is active
     (cells,) = _WORKER_STATE["cells"]
     return _run_cell_spec(cells[index])
 
@@ -659,11 +605,14 @@ def run_sweep_cells(
     _reject_context_with_parallelism(context, jobs, "run_sweep_cells")
     if jobs > 1:
         _prewarm_cells(cell_list)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_init_cell_worker,
-            initargs=(cell_list,),
-        ) as pool:
-            return pool.map(_run_cell, range(len(cell_list)))
+        results, _ = fork_map(
+            range(len(cell_list)),
+            _run_cell,
+            _init_cell_worker,
+            (cell_list,),
+            lambda index: _run_cell_spec(cell_list[index]),
+            "run_sweep_cells",
+            jobs,
+        )
+        return results
     return [_run_cell_spec(cell, context=context) for cell in cell_list]

@@ -41,10 +41,6 @@ unbudgeted oracle whose accounting is inherently per-query.
 
 from __future__ import annotations
 
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -56,10 +52,10 @@ from ..core.pipeline import ExecutionContext, SampleStore
 from ..core.planning import (
     QueryPlan,
     effective_workers,
+    fork_map,
     plan_executions,
 )
 from ..core.registry import default_selector, make_selector
-from ..core.shm import PlaneIntegrityError, SharedArrayPlane
 from ..core.stats_backend import (
     DEFAULT_CHUNK_RECORDS,
     DiskBackend,
@@ -135,33 +131,22 @@ class _CompiledQuery:
 
 
 # Worker-process state for the batch fan-out, installed by the pool
-# initializer.  Compiled queries, the warm context, and the shared-array
-# plane travel to workers by fork inheritance (datasets, closures, the
-# pre-drawn sample store, and the plane's published views are shared
-# pages rather than pickled per task).
+# initializer.  Compiled queries and the warm context travel to workers
+# by fork inheritance (datasets, closures, and the pre-drawn sample
+# store are inherited pages rather than pickled per task).
 _WORKER_STATE: dict[str, tuple] = {}
 
 
 def _init_batch_worker(
-    compiled: Sequence[_CompiledQuery],
-    context: ExecutionContext | None,
-    plane: SharedArrayPlane | None = None,
-    call_id: int = 0,
+    compiled: Sequence[_CompiledQuery], context: ExecutionContext | None
 ) -> None:
-    _WORKER_STATE["batch"] = (tuple(compiled), context, plane, call_id)
+    _WORKER_STATE["batch"] = (compiled, context)
 
 
-def _run_batch(indices: Sequence[int]):
+def _run_batch(indices: Sequence[int]) -> list[tuple[int, SelectionResult]]:
     maybe_kill_worker(indices)  # chaos seam; no-op unless a fault plan is active
-    compiled, context, plane, call_id = _WORKER_STATE["batch"]
-    pairs = [(index, compiled[index].run(context)) for index in indices]
-    if plane is None:
-        return pairs
-    return plane.encode_batch(
-        call_id,
-        indices[0],
-        ((index, result, compiled[index].dataset.size) for index, result in pairs),
-    )
+    compiled, context = _WORKER_STATE["batch"]
+    return [(index, compiled[index].run(context)) for index in indices]
 
 
 class SupgEngine:
@@ -186,13 +171,6 @@ class SupgEngine:
             ``context`` for the same reason as ``store_dir``; construct
             the context's store with ``SampleStore(retry_policy=...)``
             instead.
-        data_plane: how parallel fan-outs share arrays with workers —
-            ``"shm"`` (POSIX shared memory), ``"mmap"`` (files under
-            the store directory), or ``"pickle"`` (the plane is
-            disabled; results ride the pool pipe).  ``None`` uses the
-            ambient :func:`repro.core.shm.default_mode` (the CLI's
-            ``--data-plane``).  Results are bit-identical in every
-            mode.
         backend: where each registered dataset's derived statistics
             live — ``"memory"`` (RAM ndarrays, the default),
             ``"disk"`` (fingerprint-keyed ``.npy`` files under the
@@ -226,7 +204,6 @@ class SupgEngine:
         context: ExecutionContext | None = None,
         store_dir: str | None = None,
         retry_policy: RetryPolicy | None = None,
-        data_plane: str | None = None,
         backend: "str | StatisticsBackend | None" = None,
         chunk_records: int | None = None,
     ) -> None:
@@ -250,13 +227,8 @@ class SupgEngine:
             )
         self._context = context
         self._stats_backend = self._make_backend(backend, chunk_records)
-        self._data_plane = data_plane
-        self._plane: SharedArrayPlane | None = None
-        self._plane_calls = 0
-        self._retired_transfer = {"bytes_shipped": 0, "bytes_shm": 0, "stats_inherited": 0}
-        # Concurrent service windows share one engine: plane lifecycle,
-        # call-id allocation, transfer accounting, and the derived-
-        # dataset cache are the mutable session state they race on.
+        # Concurrent service windows share one engine: the derived-
+        # dataset cache is the mutable session state they race on.
         self._lock = ForkSafeLock()
 
     def _make_backend(
@@ -338,10 +310,9 @@ class SupgEngine:
         return self._context
 
     def session_stats(self) -> Mapping[str, int]:
-        """Sample-store reuse counters, data-plane byte accounting,
-        zone-map skipping telemetry, and statistics-backend counters."""
+        """Sample-store reuse counters, zone-map skipping telemetry, and
+        statistics-backend counters."""
         stats = dict(self._context.stats())
-        stats.update(self.transfer_stats())
         stats.update(self.skipping_stats())
         stats.update(self.backend_stats())
         return stats
@@ -409,52 +380,6 @@ class SupgEngine:
         if store_dir is None or dataset.size < MIN_INDEXED_SIZE:
             return
         dataset.prime_zone_map(store_dir)
-
-    def transfer_stats(self) -> Mapping[str, int]:
-        """Result-transfer byte counters for this engine session.
-
-        ``bytes_shipped`` counts index-array bytes that rode the worker
-        pipe inline; ``bytes_shm`` counts bytes moved through shm
-        segments / mmap spills instead.  Totals persist across plane
-        releases.
-        """
-        with self._lock:
-            totals = dict(self._retired_transfer)
-            if self._plane is not None:
-                for key, value in self._plane.counters().items():
-                    totals[key] = totals.get(key, 0) + value
-            return totals
-
-    def _ensure_plane(self) -> SharedArrayPlane:
-        """The session's shared-array plane, (re)created on demand."""
-        with self._lock:
-            if self._plane is not None and self._plane.closed:
-                self.release_plane()
-            if self._plane is None:
-                store_dir = self._context.store.store_dir
-                self._plane = SharedArrayPlane(
-                    mode=self._data_plane, directory=store_dir
-                )
-            return self._plane
-
-    def release_plane(self) -> None:
-        """Release the shared-array plane (segments, spill files).
-
-        Published datasets revert to locally owned statistics and the
-        byte counters fold into :meth:`transfer_stats`; the next
-        parallel batch simply builds a fresh plane.  Idempotent.
-        """
-        with self._lock:
-            if self._plane is None:
-                return
-            for key, value in self._plane.counters().items():
-                self._retired_transfer[key] = self._retired_transfer.get(key, 0) + value
-            self._plane.close()
-            self._plane = None
-
-    def close(self) -> None:
-        """Release session resources; the engine stays usable."""
-        self.release_plane()
 
     def reset_session(self) -> None:
         """Drop cached samples and derived datasets (registrations stay)."""
@@ -683,15 +608,7 @@ class SupgEngine:
             plan.prewarm(context.store)
         workers = effective_workers(jobs, len(compiled), "execute_many(jobs=...)")
         if workers > 1:
-            results, recovered = self._run_batches_parallel(compiled, plan, context, workers)
-            if recovered:
-                warnings.warn(
-                    f"execute_many recovered {len(recovered)} execution group(s) "
-                    "sequentially after a worker process died; results are "
-                    "unaffected",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            results, _ = self.run_batches_parallel(compiled, plan, context, workers)
         else:
             results = [job.run(context) for job in compiled]
         return [
@@ -701,94 +618,48 @@ class SupgEngine:
             for job, result in zip(compiled, results)
         ]
 
-    def _run_batches_parallel(
+    def run_batches_parallel(
         self,
         compiled: Sequence[_CompiledQuery],
         plan: QueryPlan,
         context: ExecutionContext | None,
         workers: int,
     ) -> tuple[list[SelectionResult], list[list[int]]]:
-        """Fan the plan's independent batches across a fork pool.
+        """Fan the plan's independent batches across fork workers.
 
-        Before forking, every distinct dataset in the batch is
-        published into the session's shared-array plane, so workers
-        read the big statistics (proxy scores, sorted scores,
-        importance weights) from genuinely shared pages; a group's
-        statements stay together so any residual lazy draw (e.g. an
-        oracle-UDF statement) happens once on one worker.  Workers
-        return results through the plane's spill-or-shm transfer
-        (:meth:`~repro.core.shm.SharedArrayPlane.encode_batch`): small
-        batches ride the pipe, large index arrays come back through a
-        segment the parent decodes and releases.
-
-        Built on :class:`~concurrent.futures.ProcessPoolExecutor`
-        rather than ``multiprocessing.Pool`` because a worker that dies
-        mid-batch (OOM kill, segfault, chaos injection) must *surface*
-        — the executor raises ``BrokenProcessPool`` where a plain pool
-        would hang ``map()`` forever.  Batches lost to a dead worker —
-        or whose transfer cannot be decoded (the corrupt spill is
-        quarantined) — are re-executed sequentially in the parent from
-        the already pre-warmed store, so the recovered results are
-        bit-identical to an unfaulted run; any segment the dead worker
-        left behind is reclaimed by its deterministic name.
+        A group's statements stay together, so any residual lazy draw
+        (e.g. an oracle-UDF statement) happens once on one worker.
+        Every distinct dataset's scan statistics are built in the
+        parent first (:meth:`~repro.datasets.Dataset.build_statistics`),
+        so workers inherit them instead of each rebuilding them.
+        Results come back by pickle in statement order.  Batches lost
+        to a dead worker are re-executed in the parent from the
+        already pre-warmed store
+        (:func:`~repro.core.planning.fork_map`), so recovered results
+        are bit-identical to an unfaulted run.
 
         Returns:
             ``(results, recovered_batches)`` — results in statement
             order, plus the batches (execution-index lists) that had to
             be re-executed after a worker death.
         """
+        for dataset in {id(job.dataset): job.dataset for job in compiled}.values():
+            dataset.build_statistics()
         batches = plan.batches()
-        # One critical section covers plane acquisition, call-id
-        # allocation, and dataset publication: a concurrent window must
-        # not release/rebuild the plane between this window taking a
-        # reference and forking its pool, and publish() mutates each
-        # dataset's plane handles.
-        with self._lock:
-            plane = self._ensure_plane()
-            call_id = self._plane_calls
-            self._plane_calls += 1
-            datasets: dict[int, Dataset] = {}
-            for job in compiled:
-                datasets.setdefault(id(job.dataset), job.dataset)
-            for dataset in datasets.values():
-                dataset.publish(plane)
-        fork = multiprocessing.get_context("fork")
+        per_batch, recovered = fork_map(
+            batches,
+            _run_batch,
+            _init_batch_worker,
+            (tuple(compiled), context),
+            lambda batch: [(index, compiled[index].run(context)) for index in batch],
+            "SupgEngine batch fan-out",
+            workers,
+        )
         results: list[SelectionResult | None] = [None] * len(compiled)
-        recovered: list[list[int]] = []
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(batches)),
-            mp_context=fork,
-            initializer=_init_batch_worker,
-            initargs=(tuple(compiled), context, plane, call_id),
-        ) as pool:
-            futures = [(pool.submit(_run_batch, batch), batch) for batch in batches]
-            for future, batch in futures:
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    # The worker running this batch (or a pool-mate that
-                    # poisoned the executor) died; every unfinished
-                    # future fails the same way.  Collect them for
-                    # in-parent re-execution rather than failing the
-                    # whole batch call, and sweep any result segment
-                    # the worker created before dying.
-                    with self._lock:
-                        plane.reclaim(call_id, batch[0])
-                    recovered.append(batch)
-                    continue
-                try:
-                    with self._lock:
-                        decoded = list(plane.decode_batch(payload))
-                    for index, result in decoded:
-                        results[index] = result
-                except PlaneIntegrityError:
-                    # The transfer itself was damaged (quarantined
-                    # already); recover exactly like a dead worker.
-                    recovered.append(batch)
-        for batch in recovered:
-            for index in batch:
-                results[index] = compiled[index].run(context)
-        return results, recovered
+        for pairs in per_batch:
+            for index, result in pairs:
+                results[index] = result
+        return results, [batches[index] for index in recovered]
 
     # -- resolution helpers ---------------------------------------------------
 

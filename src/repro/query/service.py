@@ -744,11 +744,6 @@ class SupgService:
             )
         self._thread.join(timeout)
         if not self._thread.is_alive():
-            # No window can be in flight anymore: release the engine's
-            # shared-array plane so a stopped service leaves no shm
-            # segments or spill files behind.  (The engine stays
-            # usable — a later parallel batch rebuilds the plane.)
-            self.engine.release_plane()
             return
         with self._arrival:
             stuck = [s for subs in self._inflight.values() for s in subs]
@@ -783,8 +778,7 @@ class SupgService:
         (arrivals absorbed after the window closed), ``warm_draws``
         (groups already in the store before the window pre-drew),
         ``labels_drawn`` / ``labels_saved`` (store-counter deltas),
-        ``bytes_shipped`` / ``bytes_shm`` (result bytes that rode the
-        worker pipe vs the shared-memory plane), ``recovered_groups``
+        ``recovered_groups``
         (execution groups re-run sequentially after a fork worker
         died), ``window_seconds``, and ``closed_by`` (``"count"`` /
         ``"timeout"`` / ``"drain"``).  A window abandoned at its
@@ -1309,8 +1303,6 @@ class SupgService:
                     "warm_draws": 0,
                     "labels_drawn": 0,
                     "labels_saved": 0,
-                    "bytes_shipped": 0,
-                    "bytes_shm": 0,
                     "recovered_groups": 0,
                     "window_seconds": time.perf_counter() - start,
                     "closed_by": closed_by,
@@ -1329,7 +1321,6 @@ class SupgService:
         doomed: dict[int, BaseException] = {}
         prewarm_failures: Mapping[tuple, Exception] = {}
         before = store.stats()
-        transfer_before = self.engine.transfer_stats()
         window_error: Exception | None = None
         if compiled:
             # Planning and prewarm touch real resources (the oracle,
@@ -1407,7 +1398,6 @@ class SupgService:
                 self._finish_submission(submission, result=execution, window=window_index)
 
         after = store.stats()
-        transfer_after = self.engine.transfer_stats()
         labels_delta = after["labels_drawn"] - before["labels_drawn"]
 
         # Breaker accounting: only genuine oracle contact moves the
@@ -1445,9 +1435,6 @@ class SupgService:
             "warm_draws": warm_draws,
             "labels_drawn": labels_delta,
             "labels_saved": after["labels_saved"] - before["labels_saved"],
-            "bytes_shipped": transfer_after["bytes_shipped"]
-            - transfer_before["bytes_shipped"],
-            "bytes_shm": transfer_after["bytes_shm"] - transfer_before["bytes_shm"],
             "recovered_groups": recovered_groups,
             "window_seconds": time.perf_counter() - start,
             "closed_by": closed_by,
@@ -1496,7 +1483,7 @@ class SupgService:
         )
         if workers > 1 and not doomed:
             try:
-                results, recovered = self.engine._run_batches_parallel(
+                results, recovered = self.engine.run_batches_parallel(
                     compiled, plan, self.engine.context, workers
                 )
             except Exception:

@@ -13,10 +13,10 @@ The contracts pinned here:
 3. :class:`FaultPlan` is reproducible — the same seed faults the same
    calls — and :func:`inject` is process-wide, nestable, and cleanly
    restored.
-4. Worker-death recovery: ``execute_many`` (engine) and ``run_trials``
-   (experiments) survive a hard-killed fork worker, re-execute only
-   the affected work in the parent, warn, and return bit-identical
-   results.
+4. Worker-death recovery: ``execute_many`` (engine), ``run_trials`` and
+   ``run_sweep_cells`` (experiments) survive a hard-killed fork worker,
+   re-execute only the affected work in the parent, warn, and return
+   bit-identical results.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import pytest
 
 from repro.core.pipeline import ExecutionContext, SampleStore
 from repro.core.planning import fork_available
-from repro.core import ApproxQuery, ImportanceCIRecall
+from repro.core import ApproxQuery, ImportanceCIRecall, UniformCIRecall
 from repro.datasets import make_beta_dataset
-from repro.experiments import run_trials
+from repro.experiments import run_sweep_cells, run_trials
 from repro.faults import (
     FaultPlan,
     FaultyOracle,
@@ -307,3 +307,25 @@ class TestWorkerDeathRecovery:
         assert [r.oracle_calls for r in recovered.records] == [
             r.oracle_calls for r in expected.records
         ]
+
+    def test_run_sweep_cells_recovers_bit_identically(self, workload):
+        def factory_for_gamma(gamma):
+            query = ApproxQuery.recall_target(gamma, 0.05, 300)
+            return lambda: UniformCIRecall(query)
+
+        cells = [
+            {
+                "factory_for_gamma": factory_for_gamma,
+                "gammas": (0.8, 0.9),
+                "dataset": workload,
+                "trials": 3,
+                "base_seed": base_seed,
+            }
+            for base_seed in (0, 100)
+        ]
+        expected = run_sweep_cells(cells, n_jobs=1)
+        with inject(FaultPlan(kill_execution=0)) as plan:
+            with pytest.warns(RuntimeWarning, match="recovered"):
+                recovered = run_sweep_cells(cells, n_jobs=2)
+            assert plan.worker_killed
+        assert recovered == expected
