@@ -260,6 +260,26 @@ class Dataset:
             cache[key] = weights
         return weights
 
+    def sampling_cdf(self, exponent: float, mixing: float) -> tuple[float, np.ndarray]:
+        """The ``(total, cdf)`` draw table of :meth:`sampling_weights`, cached alike.
+
+        Built once per ``(exponent, mixing)`` by
+        :func:`repro.sampling.weighted.weight_cdf`, so a proxy-weighted
+        draw is a binary search per sample instead of an O(n) rebuild of
+        the CDF.  The table lives in RAM (8 bytes per record) whichever
+        backend serves the weights.
+        """
+        from ..sampling.weighted import weight_cdf
+
+        key = (float(exponent), float(mixing))
+        cache: dict[tuple[float, float], tuple[float, np.ndarray]]
+        cache = self.__dict__.setdefault("_cdf_cache", {})
+        table = cache.get(key)
+        if table is None:
+            table = weight_cdf(self.sampling_weights(key[0], key[1]))
+            cache[key] = table
+        return table
+
     def build_statistics(self) -> None:
         """Build the statistics every threshold scan reads, if missing.
 

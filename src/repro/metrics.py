@@ -21,12 +21,15 @@ import numpy as np
 __all__ = ["precision", "recall", "f1_score", "SelectionQuality", "evaluate_selection"]
 
 
-def _as_index_set(indices: np.ndarray) -> np.ndarray:
+def as_index_set(indices: np.ndarray) -> np.ndarray:
+    """``np.unique(indices)`` as ``intp``, without re-sorting sorted input.
+
+    Selections arrive sorted and distinct, and checking that is ~50x
+    cheaper than ``np.unique`` (hash-based on numpy 2.x); ``np.unique``
+    remains the fallback for arbitrary caller input.  Input that passes
+    the check is returned as is, without a copy.
+    """
     arr = np.asarray(indices, dtype=np.intp).ravel()
-    # Selection results arrive sorted and distinct (they come off
-    # np.union1d / np.unique), so checking is ~50x cheaper than
-    # unconditionally re-uniquing; np.unique remains the fallback for
-    # arbitrary caller input.
     if arr.size == 0 or bool(np.all(arr[1:] > arr[:-1])):
         return arr
     return np.unique(arr)
@@ -39,7 +42,7 @@ def precision(selected: np.ndarray, labels: np.ndarray) -> float:
         selected: indices of the returned set ``R`` (duplicates ignored).
         labels: full ground-truth label array over the dataset.
     """
-    sel = _as_index_set(selected)
+    sel = as_index_set(selected)
     if sel.size == 0:
         return 1.0
     lab = np.asarray(labels)
@@ -52,7 +55,7 @@ def recall(selected: np.ndarray, labels: np.ndarray) -> float:
     total = int(lab.sum())
     if total == 0:
         return 1.0
-    sel = _as_index_set(selected)
+    sel = as_index_set(selected)
     if sel.size == 0:
         return 0.0
     return float(lab[sel].sum() / total)
@@ -102,7 +105,7 @@ def evaluate_selection(
             (e.g. ``Dataset.positive_count``), sparing an O(n) pass per
             evaluation.  Must equal the array sum when given.
     """
-    sel = _as_index_set(selected)
+    sel = as_index_set(selected)
     lab = np.asarray(labels)
     total = int(lab.sum()) if positive_total is None else int(positive_total)
     hits = lab[sel].sum() if sel.size else 0

@@ -62,7 +62,9 @@ class BudgetedOracle:
         self._label_fn = label_fn
         self.budget = budget
         self.charge_duplicates = charge_duplicates
-        self._cache: dict[int, int] = {}
+        # The memo: labeled record indices, ascending, and their labels.
+        self._keys = np.zeros(0, dtype=np.intp)
+        self._labels = np.zeros(0, dtype=np.int8)
         self._calls = 0
 
     @property
@@ -74,7 +76,7 @@ class BudgetedOracle:
     @property
     def labeled_count(self) -> int:
         """Number of distinct records labeled so far."""
-        return len(self._cache)
+        return int(self._keys.size)
 
     def remaining(self) -> int | None:
         """Budget left, or None when unlimited."""
@@ -100,28 +102,38 @@ class BudgetedOracle:
         if idx.size == 0:
             return np.zeros(0, dtype=np.int8)
 
-        if self.charge_duplicates:
-            charge = idx.size
-        else:
-            new = {int(i) for i in idx} - self._cache.keys()
-            charge = len(new)
+        # One sort serves both the distinct set and the final lookup:
+        # searching sorted keys is about twice as fast as scattered ones.
+        order = np.argsort(idx)
+        ordered = idx[order]
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        distinct = ordered[first]
+        slots = self._keys.searchsorted(distinct)
+        known = np.zeros(distinct.size, dtype=bool)
+        inside = slots < self._keys.size
+        known[inside] = self._keys[slots[inside]] == distinct[inside]
+        missing = distinct[~known]
+
+        charge = idx.size if self.charge_duplicates else int(missing.size)
         if self.budget is not None and self._calls + charge > self.budget:
             raise BudgetExhaustedError(self.budget, self._calls + charge)
 
-        missing = np.array(
-            sorted({int(i) for i in idx} - self._cache.keys()), dtype=np.intp
-        )
         if missing.size:
             labels = np.asarray(self._label_fn(missing)).astype(np.int8)
             if labels.shape != missing.shape:
                 raise ValueError("label_fn must return one label per requested index")
-            self._cache.update(zip(missing.tolist(), labels.tolist()))
+            self._keys = np.insert(self._keys, slots[~known], missing)
+            self._labels = np.insert(self._labels, slots[~known], labels)
         self._calls += charge
-        return np.array([self._cache[int(i)] for i in idx], dtype=np.int8)
+        out = np.empty(idx.size, dtype=np.int8)
+        distinct_labels = self._labels[self._keys.searchsorted(distinct)]
+        out[order] = distinct_labels[np.cumsum(first) - 1]
+        return out
 
     def labeled_indices(self) -> np.ndarray:
         """Indices of all records labeled so far (the sample ``S``)."""
-        return np.array(sorted(self._cache), dtype=np.intp)
+        return self._keys.copy()
 
     def known_positives(self) -> np.ndarray:
         """Indices of records already labeled positive.
@@ -130,9 +142,7 @@ class BudgetedOracle:
         set (``R1`` in the pseudocode): labels already paid for are never
         wasted.
         """
-        return np.array(
-            sorted(i for i, y in self._cache.items() if y == 1), dtype=np.intp
-        )
+        return self._keys[self._labels == 1]
 
 
 def oracle_from_labels(

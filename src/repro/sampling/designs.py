@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from .uniform import uniform_sample
-from .weighted import weighted_sample
+from .weighted import cdf_sample
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets import Dataset
@@ -41,6 +41,18 @@ __all__ = ["SampleDesign", "LabeledSample", "draw_labeled_sample"]
 
 #: Maps an array of record indices to an array of 0/1 labels.
 LabelFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array, by sort and neighbour mask.
+
+    numpy 2.x's default ``np.unique`` is hash-based and several times
+    slower than sorting on the few thousand record indices of a sample.
+    """
+    out = np.sort(values)
+    if out.size > 1:
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,8 @@ class SampleDesign:
             indices = uniform_sample(dataset.size, self.budget, rng, replace=self.replace)
             return indices, np.ones(indices.size, dtype=float)
         weights = dataset.sampling_weights(exponent=self.exponent, mixing=self.mixing)
-        sample = weighted_sample(weights, self.budget, rng)
+        table = dataset.sampling_cdf(exponent=self.exponent, mixing=self.mixing)
+        sample = cdf_sample(weights, table, self.budget, rng)
         return sample.indices, sample.mass
 
 
@@ -128,7 +141,7 @@ class LabeledSample:
         sample needs the same set, so a cache hit skips the O(s log s)
         unique pass entirely.
         """
-        out = np.unique(np.asarray(self.indices, dtype=np.intp))
+        out = _sorted_distinct(np.asarray(self.indices, dtype=np.intp))
         out.flags.writeable = False
         return out
 
@@ -141,7 +154,7 @@ class LabeledSample:
         one pass serves every selection replaying this sample.
         """
         indices = np.asarray(self.indices, dtype=np.intp)
-        out = np.unique(indices[np.asarray(self.labels) == 1])
+        out = _sorted_distinct(indices[np.asarray(self.labels) == 1])
         out.flags.writeable = False
         return out
 

@@ -25,6 +25,8 @@ __all__ = [
     "DEFAULT_MIXING",
     "DEFAULT_EXPONENT",
     "proxy_sampling_weights",
+    "cdf_sample",
+    "weight_cdf",
     "weighted_sample",
     "WeightedSample",
 ]
@@ -99,14 +101,10 @@ class WeightedSample:
             ``indices``; multiplying observations by ``mass`` makes
             sample averages unbiased for uniform-population averages
             (Equation 10 of the paper).
-        weights: the full sampling distribution over the population,
-            kept so later stages (e.g. stage 2 of Algorithm 5) can reuse
-            or renormalize it.
     """
 
     indices: np.ndarray
     mass: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
         if self.indices.shape != self.mass.shape:
@@ -116,6 +114,63 @@ class WeightedSample:
     def size(self) -> int:
         """Number of sampled records."""
         return int(self.indices.size)
+
+
+def weight_cdf(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Validate ``weights`` and build the ``(total, cdf)`` table a draw searches.
+
+    The CDF is the one ``Generator.choice(p=weights / total)`` would
+    rebuild on every call, so a caller that draws repeatedly from the
+    same weights (``Dataset.sampling_cdf``) builds it once and passes
+    it to :func:`cdf_sample`.
+
+    Raises:
+        ValueError: for an empty or non-1-D vector, negative entries, or
+            a total mass that is not positive and finite.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"weights must be a non-empty 1-D array, got shape {w.shape}")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    total = w.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("weights must have positive, finite total mass")
+    # Accumulating in place allocates one n-length array, not two.
+    cdf = w / total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return float(total), cdf
+
+
+def cdf_sample(
+    weights: np.ndarray,
+    table: tuple[float, np.ndarray],
+    sample_size: int,
+    rng: np.random.Generator,
+) -> WeightedSample:
+    """Draw from ``weights`` through its ``weight_cdf`` table.
+
+    Indices and the generator's post-draw state are identical to
+    ``rng.choice(n, size=s, replace=True, p=weights / total)``: this is
+    numpy's own inverse-CDF algorithm, with the CDF built by the caller.
+    """
+    if sample_size <= 0:
+        raise ValueError(f"sample_size must be positive, got {sample_size}")
+    total, cdf = table
+    u = rng.random(sample_size)
+    # Searching the keys in ascending order keeps consecutive binary
+    # searches in cache on a large CDF; each key still lands where an
+    # unsorted search would put it.
+    order = np.argsort(u)
+    indices = np.empty(u.size, dtype=np.intp)
+    indices[order] = cdf.searchsorted(u[order], side="right")
+    # Bitwise the same as indexing the normalized vector weights / total.
+    # Drawn records have positive probability, so the mass is finite.
+    sampled_w = np.asarray(weights, dtype=float)[indices] / total
+    mass = (1.0 / cdf.size) / sampled_w
+    return WeightedSample(indices=indices, mass=mass)
 
 
 def weighted_sample(
@@ -137,24 +192,4 @@ def weighted_sample(
     Raises:
         ValueError: for invalid sizes or non-positive total weight.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"weights must be a non-empty 1-D array, got shape {w.shape}")
-    if sample_size <= 0:
-        raise ValueError(f"sample_size must be positive, got {sample_size}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive total mass")
-    w = w / total
-
-    indices = rng.choice(w.size, size=sample_size, replace=True, p=w)
-    uniform_mass = 1.0 / w.size
-    sampled_w = w[indices]
-    # Defensive mixing guarantees sampled_w > 0 in the SUPG pipeline, but
-    # guard against direct misuse with zero-probability draws (cannot
-    # happen via rng.choice) by construction: sampled_w entries are
-    # probabilities of records that were actually drawn, hence positive.
-    mass = uniform_mass / sampled_w
-    return WeightedSample(indices=indices, mass=mass, weights=w)
+    return cdf_sample(weights, weight_cdf(weights), sample_size, rng)

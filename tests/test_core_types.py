@@ -48,6 +48,32 @@ class TestSelectionResult:
         np.testing.assert_array_equal(result.indices, [1, 3, 5])
         assert result.size == 3
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.array([5, 1, 5, 3]),
+            np.array([1, 1, 2, 3]),
+            np.array([9, 7, 4]),
+            np.array([[4, 2], [2, 0]]),
+            np.array([[0, 1], [2, 3]]),
+            np.array(6),
+            np.array([], dtype=int),
+            np.array([-3, 0, 8]),
+            [3, 2, 2],
+        ],
+        ids=lambda raw: repr(np.asarray(raw).tolist()),
+    )
+    def test_indices_normalized_exactly_as_np_unique(self, raw):
+        """Sorted distinct input skips np.unique; every other shape of
+        caller input still comes out exactly as np.unique would make it."""
+        result = SelectionResult(
+            indices=raw, tau=0.5, oracle_calls=0, sampled_indices=np.array([])
+        )
+        expected = np.unique(np.asarray(raw, dtype=np.intp))
+        assert result.indices.dtype == expected.dtype
+        assert result.indices.shape == expected.shape
+        np.testing.assert_array_equal(result.indices, expected)
+
     def test_negative_calls_rejected(self):
         with pytest.raises(ValueError):
             SelectionResult(

@@ -18,6 +18,7 @@ from repro.core.importance import ImportanceCIPrecisionOneStage, ImportanceCIPre
 from repro.core.types import ApproxQuery
 from repro.datasets import Dataset, make_beta_dataset
 from repro.sampling import DEFAULT_EXPONENT, DEFAULT_MIXING, proxy_sampling_weights
+from repro.sampling.weighted import weight_cdf
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,16 @@ class TestWeightCache:
         weights = workload.sampling_weights(DEFAULT_EXPONENT, DEFAULT_MIXING)
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+    def test_cdf_cached_per_parameters(self, workload):
+        table = workload.sampling_cdf(0.5, 0.1)
+        assert workload.sampling_cdf(0.5, 0.1) is table
+        assert workload.sampling_cdf(1.0, 0.1) is not table
+        total, cdf = table
+        weights = workload.sampling_weights(0.5, 0.1)
+        assert total == weights.sum()
+        assert cdf.tobytes() == weight_cdf(weights)[1].tobytes()
+        assert not cdf.flags.writeable
 
 
 class TestTwoStageTauMin:

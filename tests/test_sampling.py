@@ -11,6 +11,7 @@ from repro.sampling import (
     uniform_weights,
     weighted_sample,
 )
+from repro.sampling.weighted import cdf_sample, weight_cdf
 
 
 class TestUniformSample:
@@ -129,3 +130,73 @@ class TestWeightedSample:
             weighted_sample(np.array([-0.1, 1.1]), 10, rng)
         with pytest.raises(ValueError):
             weighted_sample(np.array([0.0, 0.0]), 10, rng)
+
+    def test_non_finite_weights_rejected(self, rng):
+        with pytest.raises(ValueError):
+            weighted_sample(np.array([0.5, np.nan]), 10, rng)
+        with pytest.raises(ValueError):
+            weighted_sample(np.array([0.5, np.inf]), 10, rng)
+
+
+def _pin_weights(n: int, seed: int, kind: str) -> np.ndarray:
+    """Unnormalized weights over ``n`` records, optionally with zeros."""
+    w = np.random.default_rng(10_000 + seed).random(n) * 7.0
+    if kind == "zeros" and n > 1:
+        w[::3] = 0.0
+        w[-1] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w
+
+
+class TestCdfDrawMatchesChoice:
+    """The cached-CDF draw is numpy's own ``choice`` algorithm.
+
+    Every proxy-weighted sample, and so every selection, depends on it
+    returning the indices ``Generator.choice(p=w / w.sum())`` returns
+    and leaving the generator in the same state.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_000])
+    @pytest.mark.parametrize("kind", ["dense", "zeros"])
+    def test_indices_mass_and_state(self, n, kind):
+        for seed in range(20):
+            w = _pin_weights(n, seed, kind)
+            p = w / w.sum()
+            for s in (1, 17, 10_000):
+                reference_rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(seed)
+                expected = reference_rng.choice(n, size=s, replace=True, p=p)
+                sample = weighted_sample(w, s, rng)
+                np.testing.assert_array_equal(sample.indices, expected)
+                assert sample.indices.dtype == expected.dtype
+                # The mass formula before the cached CDF: u / w_norm[idx].
+                assert sample.mass.tobytes() == ((1.0 / n) / p[expected]).tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_cached_table_draw_equals_uncached(self):
+        w = _pin_weights(5_000, 3, "zeros")
+        table = weight_cdf(w)
+        for seed in range(5):
+            cached = cdf_sample(w, table, 2_000, np.random.default_rng(seed))
+            fresh = weighted_sample(w, 2_000, np.random.default_rng(seed))
+            assert cached.indices.tobytes() == fresh.indices.tobytes()
+            assert cached.mass.tobytes() == fresh.mass.tobytes()
+
+    def test_zero_weight_records_never_drawn_on_exact_cdf_hits(self):
+        """A uniform key equal to a CDF step skips the zero-width bins
+        after it, as ``choice``'s right-sided search does."""
+
+        class FixedKeys:
+            def random(self, size):
+                return np.array([0.0, 0.25, 0.5, 0.75])[:size]
+
+        w = np.array([0.0, 1.0, 1.0, 0.0, 2.0])
+        sample = cdf_sample(w, weight_cdf(w), 4, FixedKeys())
+        np.testing.assert_array_equal(sample.indices, [1, 2, 4, 4])
+        assert np.all(np.isfinite(sample.mass))
+
+    def test_table_is_read_only(self):
+        _, cdf = weight_cdf(np.array([1.0, 2.0, 3.0]))
+        assert not cdf.flags.writeable
+        assert cdf[-1] == 1.0
